@@ -1,11 +1,16 @@
 type per_origin = {
   by_key : (string, Pcb.t) Hashtbl.t;
   mutable last_modified : float;
+  mutable worst : Pcb.t;  (* the worst entry at time [worst_at] *)
+  mutable worst_at : float;  (* [nan], equal to no [now], when stale *)
 }
 
 type t = { limit : int; origins : (int, per_origin) Hashtbl.t }
 
 type insert_outcome = Added | Refreshed | Evicted_other | Rejected
+
+(* Placeholder for an empty worst-entry cache; never stored. *)
+let no_pcb = Pcb.origin_pcb ~origin:(-1) ~now:nan ~lifetime:0.0
 
 let create ~limit =
   if limit < 1 then invalid_arg "Beacon_store.create: limit must be >= 1";
@@ -17,18 +22,51 @@ let slot t origin =
   match Hashtbl.find_opt t.origins origin with
   | Some s -> s
   | None ->
-      let s = { by_key = Hashtbl.create 8; last_modified = neg_infinity } in
+      let s =
+        {
+          by_key = Hashtbl.create 8;
+          last_modified = neg_infinity;
+          worst = no_pcb;
+          worst_at = nan;
+        }
+      in
       Hashtbl.replace t.origins origin s;
       s
 
+let invalidate s =
+  s.worst <- no_pcb;
+  s.worst_at <- nan
+
 (* Lexicographic badness: expired, then longer, then older. The path
    key breaks the remaining ties so the ordering is total — which entry
-   wins never depends on hash-table iteration order. *)
-let badness ~now (p : Pcb.t) =
-  ( (if Pcb.is_valid p ~now then 0 else 1),
-    Pcb.num_hops p,
-    -.p.Pcb.timestamp,
-    p.Pcb.key )
+   wins never depends on hash-table iteration order. Compares field by
+   field without building tuples; [Float.compare] on negated
+   timestamps matches polymorphic [compare] exactly (NaN included). *)
+let compare_badness ~now (a : Pcb.t) (b : Pcb.t) =
+  let va = Pcb.is_valid a ~now and vb = Pcb.is_valid b ~now in
+  if va <> vb then if va then -1 else 1
+  else
+    let c = Int.compare (Pcb.num_hops a) (Pcb.num_hops b) in
+    if c <> 0 then c
+    else
+      let c = Float.compare (-.a.Pcb.timestamp) (-.b.Pcb.timestamp) in
+      if c <> 0 then c else String.compare a.Pcb.key b.Pcb.key
+
+(* The worst entry of a non-empty origin at [now]: cached, or found by
+   one scan that allocates nothing per entry. Keys are unique, so the
+   order is total and the result is independent of table layout. *)
+let worst s ~now =
+  if s.worst_at = now then s.worst
+  else begin
+    let w =
+      Hashtbl.fold
+        (fun _ p w -> if w == no_pcb || compare_badness ~now p w > 0 then p else w)
+        s.by_key no_pcb
+    in
+    s.worst <- w;
+    s.worst_at <- now;
+    w
+  end
 
 let insert t ~now (pcb : Pcb.t) =
   if not (Pcb.is_valid pcb ~now) then Rejected
@@ -39,6 +77,9 @@ let insert t ~now (pcb : Pcb.t) =
         if pcb.Pcb.timestamp > existing.Pcb.timestamp then begin
           Hashtbl.replace s.by_key pcb.Pcb.key pcb;
           s.last_modified <- now;
+          (* A refreshed entry only gets better, so the cache stays
+             right unless it named this entry. *)
+          if existing == s.worst then invalidate s;
           Refreshed
         end
         else Rejected
@@ -46,29 +87,21 @@ let insert t ~now (pcb : Pcb.t) =
         if Hashtbl.length s.by_key < t.limit then begin
           Hashtbl.replace s.by_key pcb.Pcb.key pcb;
           s.last_modified <- now;
+          invalidate s;
           Added
         end
         else begin
-          (* Full: find the worst entry and replace it if the newcomer
-             is strictly better. *)
-          let worst =
-            Hashtbl.fold
-              (fun key p acc ->
-                match acc with
-                | None -> Some (key, p)
-                | Some (_, wp) ->
-                    if compare (badness ~now p) (badness ~now wp) > 0 then
-                      Some (key, p)
-                    else acc)
-              s.by_key None
-          in
-          match worst with
-          | Some (wkey, wp) when compare (badness ~now pcb) (badness ~now wp) < 0 ->
-              Hashtbl.remove s.by_key wkey;
-              Hashtbl.replace s.by_key pcb.Pcb.key pcb;
-              s.last_modified <- now;
-              Evicted_other
-          | _ -> Rejected
+          (* Full: replace the worst entry if the newcomer is strictly
+             better. *)
+          let w = worst s ~now in
+          if compare_badness ~now pcb w < 0 then begin
+            Hashtbl.remove s.by_key w.Pcb.key;
+            Hashtbl.replace s.by_key pcb.Pcb.key pcb;
+            s.last_modified <- now;
+            invalidate s;
+            Evicted_other
+          end
+          else Rejected
         end
   end
 
@@ -114,7 +147,8 @@ let prune_expired t ~now =
           (fun key p acc -> if Pcb.is_valid p ~now then acc else key :: acc)
           s.by_key []
       in
-      List.iter (Hashtbl.remove s.by_key) stale)
+      List.iter (Hashtbl.remove s.by_key) stale;
+      invalidate s)
     t.origins
 
 let drop_link t ~link =
@@ -132,7 +166,8 @@ let drop_link t ~link =
         (fun key ->
           Hashtbl.remove s.by_key key;
           incr dropped)
-        doomed)
+        doomed;
+      invalidate s)
     t.origins;
   !dropped
 

@@ -5,7 +5,17 @@
     beacon server keeps). A new instance of an already-stored path
     replaces the older instance; when the per-origin budget is full, a
     new path is admitted only by evicting a worse entry (expired first,
-    then longest, then oldest). *)
+    then longest, then oldest, then greatest path key).
+
+    Cost of {!insert} at a full origin: each origin caches its current
+    worst entry, tagged with the [now] it was computed at, so a
+    rejection costs one badness comparison. After a change (or at a
+    new [now]) the worst entry is found again by one scan that
+    allocates nothing per entry. The cache is invalidated by an
+    [Added] or [Evicted_other] insert, by a [Refreshed] insert of the
+    cached entry itself (other refreshes only make an entry better),
+    by {!prune_expired} and {!drop_link}; a store built by {!of_dump}
+    starts with no cache. None of this changes which entry is evicted. *)
 
 type t
 

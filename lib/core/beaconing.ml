@@ -303,12 +303,14 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
     end
   in
 
-  (* --- Baseline selection: P shortest per origin per interface. --- *)
-  let run_baseline_as ~now x =
+  (* Candidate PCBs of AS [x] per origin for one selection round,
+     memoised: a fresh origin PCB for [x]'s own origin, otherwise the
+     stored valid paths its filter policy allows. *)
+  let candidates_of ~now x =
     let store = stores.(x) in
-    let cand_cache : (int, Pcb.t list) Hashtbl.t = Hashtbl.create 16 in
-    let candidates o =
-      match Hashtbl.find_opt cand_cache o with
+    let cache : (int, Pcb.t list) Hashtbl.t = Hashtbl.create 16 in
+    fun o ->
+      match Hashtbl.find_opt cache o with
       | Some c -> c
       | None ->
           let c =
@@ -326,9 +328,14 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
               kept
             end
           in
-          Hashtbl.replace cand_cache o c;
+          Hashtbl.replace cache o c;
           c
-    in
+  in
+
+  (* --- Baseline selection: P shortest per origin per interface. --- *)
+  let run_baseline_as ~now x =
+    let store = stores.(x) in
+    let candidates = candidates_of ~now x in
     let origins =
       (if originator.(x) then [ x ] else []) @ Beacon_store.origins store
     in
@@ -338,15 +345,20 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
         List.iter
           (fun o ->
             if o <> nbr then begin
-              let sent = ref 0 in
-              List.iter
-                (fun p ->
-                  if !sent < cfg.dissemination_limit && not (Pcb.contains_as p nbr)
-                  then begin
-                    send ~now ~sender:x ~h p;
-                    incr sent
-                  end)
-                (candidates o)
+              (* The first [dissemination_limit] candidates not already
+                 through [nbr], shortest first; the rest are not
+                 visited. *)
+              let rec disseminate sent = function
+                | [] -> ()
+                | p :: rest ->
+                    if sent < cfg.dissemination_limit then
+                      if Pcb.contains_as p nbr then disseminate sent rest
+                      else begin
+                        send ~now ~sender:x ~h p;
+                        disseminate (sent + 1) rest
+                      end
+              in
+              disseminate 0 (candidates o)
             end)
           origins)
       out_links.(x)
@@ -360,29 +372,7 @@ let engine ?(obs = Obs.disabled) ?link_up ?stores ?stats g cfg =
   let run_quality_as ~now ~(params : Beacon_policy.div_params) ~quality ~track_history x =
     let store = stores.(x) in
     let st = div_states.(x) in
-    let cand_cache : (int, Pcb.t list) Hashtbl.t = Hashtbl.create 16 in
-    let candidates o =
-      match Hashtbl.find_opt cand_cache o with
-      | Some c -> c
-      | None ->
-          let c =
-            if o = x then begin
-              if obs_on then c_originated := !c_originated +. 1.0;
-              [ Pcb.origin_pcb ~origin:x ~now ~lifetime:cfg.lifetime ]
-            end
-            else begin
-              let all = Beacon_store.paths store ~now ~origin:o in
-              let kept = List.filter (policy_allows x) all in
-              if obs_on then
-                c_filtered :=
-                  !c_filtered
-                  +. float_of_int (List.length all - List.length kept);
-              kept
-            end
-          in
-          Hashtbl.replace cand_cache o c;
-          c
-    in
+    let candidates = candidates_of ~now x in
     let origins =
       (if originator.(x) then [ x ] else []) @ Beacon_store.origins store
     in

@@ -17,22 +17,22 @@ type t = {
 }
 
 (* Link ids are encoded as 3 bytes each; sufficient for 2^24 links. *)
+let set_link b off l =
+  Bytes.set b off (Char.chr (l land 0xFF));
+  Bytes.set b (off + 1) (Char.chr ((l lsr 8) land 0xFF));
+  Bytes.set b (off + 2) (Char.chr ((l lsr 16) land 0xFF))
+
 let path_key links =
   let b = Bytes.create (3 * Array.length links) in
-  Array.iteri
-    (fun i l ->
-      Bytes.set b (3 * i) (Char.chr (l land 0xFF));
-      Bytes.set b ((3 * i) + 1) (Char.chr ((l lsr 8) land 0xFF));
-      Bytes.set b ((3 * i) + 2) (Char.chr ((l lsr 16) land 0xFF)))
-    links;
-  Bytes.to_string b
+  Array.iteri (fun i l -> set_link b (3 * i) l) links;
+  Bytes.unsafe_to_string b
 
 let extend_key key link =
-  let b = Bytes.create 3 in
-  Bytes.set b 0 (Char.chr (link land 0xFF));
-  Bytes.set b 1 (Char.chr ((link lsr 8) land 0xFF));
-  Bytes.set b 2 (Char.chr ((link lsr 16) land 0xFF));
-  key ^ Bytes.to_string b
+  let n = String.length key in
+  let b = Bytes.create (n + 3) in
+  Bytes.blit_string key 0 b 0 n;
+  set_link b n link;
+  Bytes.unsafe_to_string b
 
 let with_signature t s = { t with signatures = s :: t.signatures }
 
@@ -56,7 +56,7 @@ let extend ?signature t ~asn ~ingress ~egress ~link ~peers =
   let signatures =
     match signature with None -> t.signatures | Some s -> s :: t.signatures
   in
-  { t with hops; links; key = path_key links; signatures }
+  { t with hops; links; key = extend_key t.key link; signatures }
 
 let expires_at t = t.timestamp +. t.lifetime
 

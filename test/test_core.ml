@@ -58,6 +58,18 @@ let prop_extend_key =
       let arr = Array.of_list ls in
       Pcb.extend_key (Pcb.path_key arr) l = Pcb.path_key (Array.append arr [| l |]))
 
+let prop_extend_chain_key =
+  QCheck.Test.make ~name:"extended PCB key equals path_key of its links" ~count:200
+    QCheck.(list_of_size (Gen.int_range 0 8) (int_bound 0xFFFFFF))
+    (fun ls ->
+      let p =
+        List.fold_left
+          (fun p l -> Pcb.extend p ~asn:l ~ingress:0 ~egress:1 ~link:l ~peers:[||])
+          (Pcb.origin_pcb ~origin:0 ~now:0.0 ~lifetime:600.0)
+          ls
+      in
+      p.Pcb.key = Pcb.path_key p.Pcb.links)
+
 let test_pcb_wire_bytes () =
   let p = Pcb.origin_pcb ~origin:0 ~now:0.0 ~lifetime:600.0 in
   let p1 = Pcb.extend p ~asn:0 ~ingress:0 ~egress:1 ~link:0 ~peers:[||] in
@@ -155,6 +167,273 @@ let prop_store_limit =
       let s = Beacon_store.create ~limit:3 in
       List.iter (fun links -> ignore (Beacon_store.insert s ~now:0.0 (mk_pcb links))) pcbs;
       Beacon_store.count s ~origin:0 <= 3)
+
+(* Naive reference model of the store: the full-rescan eviction that
+   builds a boxed (valid, hops, -timestamp, key) tuple per entry and
+   compares with polymorphic [compare]. [Beacon_store] must agree with
+   it on every outcome and every dump. *)
+module Ref_store = struct
+  type per_origin = {
+    by_key : (string, Pcb.t) Hashtbl.t;
+    mutable last_modified : float;
+  }
+
+  type t = { limit : int; origins : (int, per_origin) Hashtbl.t }
+
+  let create ~limit = { limit; origins = Hashtbl.create 8 }
+
+  let slot t origin =
+    match Hashtbl.find_opt t.origins origin with
+    | Some s -> s
+    | None ->
+        let s = { by_key = Hashtbl.create 8; last_modified = neg_infinity } in
+        Hashtbl.replace t.origins origin s;
+        s
+
+  let badness ~now (p : Pcb.t) =
+    ( (if Pcb.is_valid p ~now then 0 else 1),
+      Pcb.num_hops p,
+      -.p.Pcb.timestamp,
+      p.Pcb.key )
+
+  let insert t ~now (pcb : Pcb.t) =
+    if not (Pcb.is_valid pcb ~now) then Beacon_store.Rejected
+    else begin
+      let s = slot t pcb.Pcb.origin in
+      match Hashtbl.find_opt s.by_key pcb.Pcb.key with
+      | Some existing ->
+          if pcb.Pcb.timestamp > existing.Pcb.timestamp then begin
+            Hashtbl.replace s.by_key pcb.Pcb.key pcb;
+            s.last_modified <- now;
+            Beacon_store.Refreshed
+          end
+          else Beacon_store.Rejected
+      | None ->
+          if Hashtbl.length s.by_key < t.limit then begin
+            Hashtbl.replace s.by_key pcb.Pcb.key pcb;
+            s.last_modified <- now;
+            Beacon_store.Added
+          end
+          else begin
+            let worst =
+              Hashtbl.fold
+                (fun key p acc ->
+                  match acc with
+                  | None -> Some (key, p)
+                  | Some (_, wp) ->
+                      if compare (badness ~now p) (badness ~now wp) > 0 then
+                        Some (key, p)
+                      else acc)
+                s.by_key None
+            in
+            match worst with
+            | Some (wkey, wp) when compare (badness ~now pcb) (badness ~now wp) < 0
+              ->
+                Hashtbl.remove s.by_key wkey;
+                Hashtbl.replace s.by_key pcb.Pcb.key pcb;
+                s.last_modified <- now;
+                Beacon_store.Evicted_other
+            | _ -> Beacon_store.Rejected
+          end
+    end
+
+  let remove_if t pred =
+    Hashtbl.iter
+      (fun _ s ->
+        let doomed =
+          Hashtbl.fold (fun key p acc -> if pred p then key :: acc else acc) s.by_key []
+        in
+        List.iter (Hashtbl.remove s.by_key) doomed)
+      t.origins
+
+  let prune_expired t ~now = remove_if t (fun p -> not (Pcb.is_valid p ~now))
+
+  let drop_link t ~link =
+    remove_if t (fun p -> Array.exists (fun l -> l = link) p.Pcb.links)
+
+  let of_dump (d : Beacon_store.dump) =
+    let t = create ~limit:d.Beacon_store.d_limit in
+    List.iter
+      (fun (origin, last_modified, pcbs) ->
+        let s = slot t origin in
+        List.iter (fun (p : Pcb.t) -> Hashtbl.replace s.by_key p.Pcb.key p) pcbs;
+        s.last_modified <- last_modified)
+      d.Beacon_store.d_origins;
+    t
+
+  let dump t =
+    {
+      Beacon_store.d_limit = t.limit;
+      d_origins =
+        Hashtbl.fold
+          (fun origin s acc ->
+            let pcbs =
+              Hashtbl.fold (fun _ p acc -> p :: acc) s.by_key []
+              |> List.sort (fun (a : Pcb.t) (b : Pcb.t) -> compare a.Pcb.key b.Pcb.key)
+            in
+            (origin, s.last_modified, pcbs) :: acc)
+          t.origins []
+        |> List.sort (fun (a, _, _) (b, _, _) -> compare a b);
+    }
+end
+
+type store_op =
+  | Op_insert of { origin : int; links : int list; back : int; lifetime : float }
+      (** insert at the current clock a PCB initiated [back] × 50 s
+          earlier (later, if negative) *)
+  | Op_clock of float  (** set the clock, possibly backwards *)
+  | Op_prune
+  | Op_drop of int
+  | Op_redump of int option
+      (** [of_dump (dump s)], optionally with a lower limit so the
+          rebuilt store holds more entries than its limit *)
+
+let show_store_op = function
+  | Op_insert { origin; links; back; lifetime } ->
+      Printf.sprintf "insert(o=%d links=[%s] back=%d life=%.0f)" origin
+        (String.concat ";" (List.map string_of_int links))
+        back lifetime
+  | Op_clock now -> Printf.sprintf "clock(%.0f)" now
+  | Op_prune -> "prune_expired"
+  | Op_drop l -> Printf.sprintf "drop_link(%d)" l
+  | Op_redump None -> "of_dump(dump)"
+  | Op_redump (Some l) -> Printf.sprintf "of_dump(dump with limit %d)" l
+
+(* Small link and time ranges, and runs of inserts at one clock value,
+   so duplicate keys, refreshes, full stores, expired entries and
+   future timestamps all occur. *)
+let gen_store_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 14,
+          let* origin = int_bound 2 in
+          let* links = list_size (int_range 1 3) (int_bound 5) in
+          let* back = int_range (-1) 12 in
+          let* lifetime = oneofl [ 50.0; 200.0; 600.0; 2000.0 ] in
+          return (Op_insert { origin; links; back; lifetime }) );
+        (2, map (fun i -> Op_clock (50.0 *. float_of_int i)) (int_bound 24));
+        (1, return Op_prune);
+        (1, map (fun l -> Op_drop l) (int_bound 5));
+        (1, map (fun l -> Op_redump l) (opt ~ratio:0.5 (int_range 1 3)));
+      ])
+
+let prop_store_matches_reference =
+  let gen = QCheck.Gen.(pair (int_range 1 4) (list_size (int_range 1 120) gen_store_op)) in
+  let print (limit, ops) =
+    Printf.sprintf "limit=%d\n%s" limit (String.concat "\n" (List.map show_store_op ops))
+  in
+  QCheck.Test.make ~name:"store agrees with the full-rescan reference model" ~count:1000
+    (QCheck.make ~print gen)
+    (fun (limit, ops) ->
+      let r = ref (Ref_store.create ~limit) in
+      let s = ref (Beacon_store.create ~limit) in
+      let clock = ref 0.0 in
+      List.for_all
+        (fun op ->
+          let now = !clock in
+          let agree =
+            match op with
+            | Op_insert { origin; links; back; lifetime } ->
+                let ts = now -. (50.0 *. float_of_int back) in
+                let p = mk_pcb ~origin ~now:ts ~lifetime links in
+                Ref_store.insert !r ~now p = Beacon_store.insert !s ~now p
+            | Op_clock t ->
+                clock := t;
+                true
+            | Op_prune ->
+                Ref_store.prune_expired !r ~now;
+                Beacon_store.prune_expired !s ~now;
+                true
+            | Op_drop link ->
+                Ref_store.drop_link !r ~link;
+                ignore (Beacon_store.drop_link !s ~link);
+                true
+            | Op_redump lower ->
+                let d = Beacon_store.dump !s in
+                let d =
+                  match lower with
+                  | None -> d
+                  | Some l -> { d with Beacon_store.d_limit = l }
+                in
+                r := Ref_store.of_dump d;
+                s := Beacon_store.of_dump d;
+                true
+          in
+          agree && Ref_store.dump !r = Beacon_store.dump !s)
+        ops)
+
+(* The stored keys of origin 0 are exactly the keys of [expected]. *)
+let check_keys msg expected s =
+  let keys =
+    List.concat_map
+      (fun (o, _, pcbs) -> if o = 0 then List.map (fun (p : Pcb.t) -> p.Pcb.key) pcbs else [])
+      (Beacon_store.dump s).Beacon_store.d_origins
+  in
+  check
+    (Alcotest.slist Alcotest.string compare)
+    msg
+    (List.map (fun links -> Pcb.path_key (Array.of_list links)) expected)
+    keys
+
+let test_store_drop_link_then_evict () =
+  (* Four entries under a limit of three (a dump rebuilt with a lower
+     limit), so the store is still full after [drop_link] removes one. *)
+  let s = Beacon_store.create ~limit:4 in
+  List.iter
+    (fun links -> ignore (Beacon_store.insert s ~now:0.0 (mk_pcb links)))
+    [ [ 1; 2; 3; 4 ]; [ 5; 6; 7 ]; [ 8; 9 ]; [ 10; 11 ] ];
+  let s = Beacon_store.of_dump { (Beacon_store.dump s) with Beacon_store.d_limit = 3 } in
+  (* A rejection at the full store settles on [1;2;3;4] as the worst. *)
+  check Alcotest.bool "longer rejected" true
+    (Beacon_store.insert s ~now:0.0 (mk_pcb [ 12; 13; 14; 15; 16 ]) = Beacon_store.Rejected);
+  check Alcotest.int "dropped the worst" 1 (Beacon_store.drop_link s ~link:1);
+  check Alcotest.bool "shorter evicts" true
+    (Beacon_store.insert s ~now:0.0 (mk_pcb [ 17 ]) = Beacon_store.Evicted_other);
+  check_keys "next-worst [5;6;7] evicted" [ [ 8; 9 ]; [ 10; 11 ]; [ 17 ] ] s
+
+let test_store_refresh_of_worst () =
+  let s = Beacon_store.create ~limit:3 in
+  List.iter
+    (fun (ts, links) -> ignore (Beacon_store.insert s ~now:100.0 (mk_pcb ~now:ts links)))
+    [ (0.0, [ 1; 2 ]); (50.0, [ 3; 4 ]); (60.0, [ 5; 6 ]) ];
+  check Alcotest.bool "longer rejected" true
+    (Beacon_store.insert s ~now:100.0 (mk_pcb ~now:100.0 [ 7; 8; 9 ]) = Beacon_store.Rejected);
+  (* The oldest entry, the worst so far, comes back newest. *)
+  check Alcotest.bool "worst refreshed" true
+    (Beacon_store.insert s ~now:100.0 (mk_pcb ~now:100.0 [ 1; 2 ]) = Beacon_store.Refreshed);
+  check Alcotest.bool "newcomer evicts" true
+    (Beacon_store.insert s ~now:100.0 (mk_pcb ~now:100.0 [ 10; 11 ])
+    = Beacon_store.Evicted_other);
+  check_keys "now-oldest [3;4] evicted" [ [ 1; 2 ]; [ 5; 6 ]; [ 10; 11 ] ] s
+
+let test_store_expiry_between_inserts () =
+  let s = Beacon_store.create ~limit:2 in
+  ignore (Beacon_store.insert s ~now:0.0 (mk_pcb ~lifetime:100.0 [ 1 ]));
+  ignore (Beacon_store.insert s ~now:0.0 (mk_pcb ~lifetime:1000.0 [ 2; 3 ]));
+  check Alcotest.bool "longer rejected while both valid" true
+    (Beacon_store.insert s ~now:0.0 (mk_pcb [ 4; 5; 6 ]) = Beacon_store.Rejected);
+  (* At now = 200 the one-hop entry has expired, so it goes first even
+     though the newcomer is longer than every stored path. *)
+  check Alcotest.bool "expired entry evicted" true
+    (Beacon_store.insert s ~now:200.0 (mk_pcb ~now:200.0 [ 4; 5; 6 ])
+    = Beacon_store.Evicted_other);
+  check_keys "expired [1] gone" [ [ 2; 3 ]; [ 4; 5; 6 ] ] s
+
+let test_store_of_dump_evicts_same () =
+  let s = Beacon_store.create ~limit:3 in
+  List.iter
+    (fun (now, links) -> ignore (Beacon_store.insert s ~now (mk_pcb ~now links)))
+    [ (0.0, [ 1; 2 ]); (10.0, [ 3; 4 ]); (20.0, [ 5; 6 ]) ];
+  ignore (Beacon_store.insert s ~now:20.0 (mk_pcb ~now:20.0 [ 7; 8; 9 ]));
+  let copy = Beacon_store.of_dump (Beacon_store.dump s) in
+  let p = mk_pcb ~now:30.0 [ 10; 11 ] in
+  let o1 = Beacon_store.insert s ~now:30.0 p in
+  let o2 = Beacon_store.insert copy ~now:30.0 p in
+  check Alcotest.bool "both evict" true
+    (o1 = Beacon_store.Evicted_other && o2 = Beacon_store.Evicted_other);
+  check_keys "oldest [1;2] evicted" [ [ 3; 4 ]; [ 5; 6 ]; [ 10; 11 ] ] copy;
+  Alcotest.(check bool) "dumps equal" true (Beacon_store.dump s = Beacon_store.dump copy)
 
 (* --- Scoring (§4.2) --- *)
 
@@ -582,6 +861,7 @@ let suite =
     ("pcb extend", `Quick, test_pcb_extend);
     ("pcb extend_key", `Quick, test_pcb_extend_key);
     QCheck_alcotest.to_alcotest prop_extend_key;
+    QCheck_alcotest.to_alcotest prop_extend_chain_key;
     ("pcb wire bytes", `Quick, test_pcb_wire_bytes);
     ("pcb age/remaining", `Quick, test_pcb_age_remaining);
     ("store insert", `Quick, test_store_insert);
@@ -592,6 +872,11 @@ let suite =
     ("store prune", `Quick, test_store_prune);
     ("store last modified", `Quick, test_store_last_modified);
     QCheck_alcotest.to_alcotest prop_store_limit;
+    QCheck_alcotest.to_alcotest prop_store_matches_reference;
+    ("store drop_link then evict next-worst", `Quick, test_store_drop_link_then_evict);
+    ("store refresh of the worst entry", `Quick, test_store_refresh_of_worst);
+    ("store entry expires between inserts", `Quick, test_store_expiry_between_inserts);
+    ("store of_dump evicts the same entry", `Quick, test_store_of_dump_evicts_same);
     ("score fresh age zero", `Quick, test_score_fresh_age_zero);
     ("score fresh decreasing in age", `Quick, test_score_fresh_decreasing_in_age);
     ("score fresh increasing in ds", `Quick, test_score_fresh_increasing_in_ds);
