@@ -77,9 +77,9 @@ let insert t ~now (pcb : Pcb.t) =
         if pcb.Pcb.timestamp > existing.Pcb.timestamp then begin
           Hashtbl.replace s.by_key pcb.Pcb.key pcb;
           s.last_modified <- now;
-          (* A refreshed entry only gets better, so the cache stays
-             right unless it named this entry. *)
-          if existing == s.worst then invalidate s;
+          (* Even a refresh can make an entry the worst: its newer
+             timestamp makes it invalid at any earlier [now]. *)
+          invalidate s;
           Refreshed
         end
         else Rejected

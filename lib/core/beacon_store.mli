@@ -12,10 +12,11 @@
     rejection costs one badness comparison. After a change (or at a
     new [now]) the worst entry is found again by one scan that
     allocates nothing per entry. The cache is invalidated by an
-    [Added] or [Evicted_other] insert, by a [Refreshed] insert of the
-    cached entry itself (other refreshes only make an entry better),
-    by {!prune_expired} and {!drop_link}; a store built by {!of_dump}
-    starts with no cache. None of this changes which entry is evicted. *)
+    [Added], [Refreshed] or [Evicted_other] insert, by {!prune_expired}
+    and {!drop_link}; a store built by {!of_dump} starts with no cache.
+    So a cached entry is only reused for the same contents at the same
+    [now], and none of this changes which entry is evicted, whatever
+    order the [now] values come in. *)
 
 type t
 

@@ -407,6 +407,23 @@ let test_store_refresh_of_worst () =
     = Beacon_store.Evicted_other);
   check_keys "now-oldest [3;4] evicted" [ [ 1; 2 ]; [ 5; 6 ]; [ 10; 11 ] ] s
 
+let test_store_refresh_then_earlier_clock () =
+  (* A refresh at a later [now] makes the refreshed entry invalid at an
+     earlier one, so it is the worst there even though it did not
+     replace the worst entry seen at that earlier [now]. *)
+  let s = Beacon_store.create ~limit:2 in
+  check Alcotest.bool "[1] added" true
+    (Beacon_store.insert s ~now:100.0 (mk_pcb ~lifetime:2000.0 [ 1 ]) = Beacon_store.Added);
+  check Alcotest.bool "[2;3] added" true
+    (Beacon_store.insert s ~now:100.0 (mk_pcb [ 2; 3 ]) = Beacon_store.Added);
+  check Alcotest.bool "longer rejected at 100" true
+    (Beacon_store.insert s ~now:100.0 (mk_pcb ~now:100.0 [ 4; 5; 0 ]) = Beacon_store.Rejected);
+  check Alcotest.bool "[1] refreshed at 200" true
+    (Beacon_store.insert s ~now:200.0 (mk_pcb ~now:150.0 [ 1 ]) = Beacon_store.Refreshed);
+  check Alcotest.bool "newcomer evicts at 100" true
+    (Beacon_store.insert s ~now:100.0 (mk_pcb ~now:100.0 [ 5 ]) = Beacon_store.Evicted_other);
+  check_keys "[1], not yet valid at 100, evicted" [ [ 2; 3 ]; [ 5 ] ] s
+
 let test_store_expiry_between_inserts () =
   let s = Beacon_store.create ~limit:2 in
   ignore (Beacon_store.insert s ~now:0.0 (mk_pcb ~lifetime:100.0 [ 1 ]));
@@ -875,6 +892,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_store_matches_reference;
     ("store drop_link then evict next-worst", `Quick, test_store_drop_link_then_evict);
     ("store refresh of the worst entry", `Quick, test_store_refresh_of_worst);
+    ("store refresh then an earlier clock", `Quick, test_store_refresh_then_earlier_clock);
     ("store entry expires between inserts", `Quick, test_store_expiry_between_inserts);
     ("store of_dump evicts the same entry", `Quick, test_store_of_dump_evicts_same);
     ("score fresh age zero", `Quick, test_score_fresh_age_zero);
